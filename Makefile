@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build vet lint test race bench bench-json profile fuzz ci experiments examples load cover clean
 
 # Benchmarks that feed the perf-trajectory record (see bench-json).
-BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/mux/
+BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/mux/ ./internal/bitstr/
 
 all: build vet test
 
@@ -44,7 +44,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench BenchmarkSessionThroughput -benchtime 1x -benchmem ./internal/sessmux/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkE18_CrashRecovery -benchtime 3x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSweepN1024 -benchtime 1x -benchmem . ) \
-		| $(GO) run ./cmd/benchjson -before BENCH_PR7.json > BENCH_PR8.json
+		| $(GO) run ./cmd/benchjson -before BENCH_PR8.json > BENCH_PR9.json
 
 # Capture CPU and heap profiles for the headline decode benchmark (override
 # PROFILE_BENCH/PROFILE_PKG to profile something else). go test drops the
@@ -59,7 +59,8 @@ profile:
 
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame
 # codec (copying and borrowing decoders), the Π_ℓBA+ tuple decoder, the
-# checkpoint WAL replay, and the mirrored-WAL scrub/repair pass. Raise
+# checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; plus the
+# bit-string kernels held to their bit-at-a-time oracle (FuzzOps). Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzInspectState -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzOps -fuzztime $(FUZZTIME) ./internal/bitstr/
 
 # Minimal CI entry point (vet + build + tests + race on the perf-critical
 # packages); scripts/ci.sh is the same thing for environments without make.

@@ -8,9 +8,16 @@
 // Strings are value types: all operations return fresh storage and never
 // alias the receiver's backing array, so a String can be shared freely
 // between goroutines once constructed.
+//
+// Every operation works on the packed bytes, never one bit at a time, so
+// the O(ℓ) steps of the long-input protocols cost a copy or a compare of
+// ℓ/8 bytes. The bits past Len() in the last byte are always zero; every
+// constructor keeps that invariant (Unmarshal rejects encodings that break
+// it), and Equal, HasPrefix and Compare rely on it to compare whole bytes.
 package bitstr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -20,7 +27,7 @@ import (
 // String is an immutable bitstring of arbitrary length, packed MSB-first.
 // The zero value is the empty bitstring.
 type String struct {
-	data []byte // ceil(n/8) bytes; bit i lives at data[i/8] bit (7 - i%8)
+	data []byte // ceil(n/8) bytes; bit i lives at data[i/8] bit (7 - i%8); padding bits are zero
 	n    int    // length in bits
 }
 
@@ -53,19 +60,16 @@ func FromBig(v *big.Int, width int) (String, error) {
 		return String{}, fmt.Errorf("%w: %d bits into width %d", ErrOverflow, v.BitLen(), width)
 	}
 	s := String{data: make([]byte, (width+7)/8), n: width}
-	raw := v.Bytes() // big-endian, minimal
-	// Right-align raw into the bit width: the value occupies the lowest
-	// v.BitLen() bits, i.e. the rightmost bits of the string.
-	for i, b := range raw {
-		// Byte raw[i] covers value bits [8*(len(raw)-i)-8, 8*(len(raw)-i)).
-		shift := uint(8 * (len(raw) - 1 - i))
-		for k := 0; k < 8; k++ {
-			if b>>(7-k)&1 == 1 {
-				// Bit position from the right end of the value.
-				fromRight := int(shift) + (7 - k)
-				s.setBit(width-1-fromRight, 1)
-			}
+	// FillBytes right-aligns v in whole bytes; the string's padding sits
+	// at the right end instead, so shift the bytes left by the pad width.
+	// The pad's worth of top bits is zero because v fits in width bits.
+	v.FillBytes(s.data)
+	if pad := uint(8*len(s.data) - width); pad > 0 {
+		d := s.data
+		for i := 0; i < len(d)-1; i++ {
+			d[i] = d[i]<<pad | d[i+1]>>(8-pad)
 		}
+		d[len(d)-1] <<= pad
 	}
 	return s, nil
 }
@@ -143,13 +147,8 @@ func (s String) Bit(i int) byte {
 // Big returns VAL(BITS): the natural number whose binary representation the
 // string is. The empty string has value 0.
 func (s String) Big() *big.Int {
-	v := new(big.Int)
-	for i := 0; i < s.n; i++ {
-		if s.Bit(i) == 1 {
-			v.SetBit(v, s.n-1-i, 1)
-		}
-	}
-	return v
+	v := new(big.Int).SetBytes(s.data)
+	return v.Rsh(v, uint(8*len(s.data)-s.n))
 }
 
 // Slice returns the substring of bits [lo, hi) (0-based, half-open).
@@ -158,12 +157,40 @@ func (s String) Slice(lo, hi int) (String, error) {
 		return String{}, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
 	}
 	out := String{data: make([]byte, (hi-lo+7)/8), n: hi - lo}
-	for i := lo; i < hi; i++ {
-		if s.Bit(i) == 1 {
-			out.setBit(i-lo, 1)
+	orBits(out.data, 0, s.data, lo, hi-lo)
+	return out, nil
+}
+
+// orBits ORs the n bits of src starting at bit srcOff into dst starting at
+// bit dstOff, a byte at a time. The n destination bits must be zero; src's
+// bits outside the range are masked off, so dst's padding stays zero.
+func orBits(dst []byte, dstOff int, src []byte, srcOff, n int) {
+	if n == 0 {
+		return
+	}
+	sq, sr := srcOff/8, uint(srcOff%8)
+	dq, dr := dstOff/8, uint(dstOff%8)
+	last := (n+7)/8 - 1
+	tail := byte(0xff) << uint(7-(n-1)%8) // the bits of byte last in range
+	if sr == 0 && dr == 0 {
+		copy(dst[dq:dq+last], src[sq:sq+last])
+		dst[dq+last] |= src[sq+last] & tail
+		return
+	}
+	for j := 0; j <= last; j++ {
+		// Byte j of the range, MSB-aligned.
+		b := src[sq+j] << sr
+		if sr > 0 && sq+j+1 < len(src) {
+			b |= src[sq+j+1] >> (8 - sr)
+		}
+		if j == last {
+			b &= tail
+		}
+		dst[dq+j] |= b >> dr
+		if dr > 0 && dq+j+1 < len(dst) {
+			dst[dq+j+1] |= b << (8 - dr)
 		}
 	}
-	return out, nil
 }
 
 // Prefix returns the first k bits of s.
@@ -173,15 +200,7 @@ func (s String) Prefix(k int) (String, error) { return s.Slice(0, k) }
 func (s String) Concat(t String) String {
 	out := String{data: make([]byte, (s.n+t.n+7)/8), n: s.n + t.n}
 	copy(out.data, s.data)
-	if s.n%8 == 0 {
-		copy(out.data[s.n/8:], t.data)
-		return out
-	}
-	for i := 0; i < t.n; i++ {
-		if t.Bit(i) == 1 {
-			out.setBit(s.n+i, 1)
-		}
-	}
+	orBits(out.data, s.n, t.data, 0, t.n)
 	return out
 }
 
@@ -197,50 +216,34 @@ func (s String) AppendBit(b byte) (String, error) {
 // Equal reports whether s and t are the same bitstring (same length, same
 // bits).
 func (s String) Equal(t String) bool {
-	if s.n != t.n {
-		return false
-	}
-	full := s.n / 8
-	for i := 0; i < full; i++ {
-		if s.data[i] != t.data[i] {
-			return false
-		}
-	}
-	for i := full * 8; i < s.n; i++ {
-		if s.Bit(i) != t.Bit(i) {
-			return false
-		}
-	}
-	return true
+	return s.n == t.n && bytes.Equal(s.data, t.data)
 }
 
 // HasPrefix reports whether p is a prefix of s.
 func (s String) HasPrefix(p String) bool {
-	if p.n > s.n {
-		return false
-	}
-	head, err := s.Prefix(p.n)
-	if err != nil {
-		return false
-	}
-	return head.Equal(p)
+	return p.n <= s.n && s.Compare(p) == 0
 }
 
-// Compare compares two equal-length bitstrings as the naturals they
-// represent; it returns -1, 0, or +1. It panics if the lengths differ
-// (callers in this codebase always compare like-for-like widths).
+// Compare compares the first t.Len() bits of s with t as the naturals they
+// represent; it returns -1, 0, or +1. For equal lengths that is the plain
+// comparison of s and t; for a shorter t it asks which side of the prefix
+// t the string s lies on, without copying s's head out. It panics if t is
+// longer than s.
 func (s String) Compare(t String) int {
-	if s.n != t.n {
-		panic(fmt.Sprintf("bitstr: comparing lengths %d and %d", s.n, t.n))
+	if t.n > s.n {
+		panic(fmt.Sprintf("bitstr: comparing the first %d bits of a %d-bit string", t.n, s.n))
 	}
-	for i := 0; i < s.n; i++ {
-		a, b := s.Bit(i), t.Bit(i)
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
-		}
+	full := t.n / 8
+	if c := bytes.Compare(s.data[:full], t.data[:full]); c != 0 || t.n%8 == 0 {
+		return c
+	}
+	// t's padding is zero, so masking s's byte to t's bits compares the rest.
+	a, b := s.data[full]&(byte(0xff)<<uint(8-t.n%8)), t.data[full]
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
 	return 0
 }
@@ -261,11 +264,11 @@ func (s String) MaxFill(width int) (*big.Int, error) {
 	if width < s.n {
 		return nil, fmt.Errorf("%w: width %d < length %d", ErrRange, width, s.n)
 	}
+	// (VAL+1)·2^k − 1 sets the k fill bits without a k-bit temporary.
+	one := big.NewInt(1)
 	v := s.Big()
-	v.Lsh(v, uint(width-s.n))
-	pad := new(big.Int).Lsh(big.NewInt(1), uint(width-s.n))
-	pad.Sub(pad, big.NewInt(1))
-	return v.Or(v, pad), nil
+	v.Add(v, one).Lsh(v, uint(width-s.n))
+	return v.Sub(v, one), nil
 }
 
 // FillTo returns s extended to width bits by appending copies of bit b: the
@@ -277,15 +280,18 @@ func (s String) FillTo(width int, b byte) (String, error) {
 	if width < s.n {
 		return String{}, fmt.Errorf("%w: width %d < length %d", ErrRange, width, s.n)
 	}
-	pad := make([]byte, width-s.n)
-	for i := range pad {
-		pad[i] = b
+	out := String{data: make([]byte, (width+7)/8), n: width}
+	copy(out.data, s.data)
+	if b == 1 && width > s.n {
+		if r := s.n % 8; r != 0 {
+			out.data[s.n/8] |= 0xff >> uint(r)
+		}
+		for i := (s.n + 7) / 8; i < len(out.data); i++ {
+			out.data[i] = 0xff
+		}
+		out.data[len(out.data)-1] &= 0xff << uint(8*len(out.data)-width)
 	}
-	tail, err := FromBits(pad)
-	if err != nil {
-		return String{}, err
-	}
-	return s.Concat(tail), nil
+	return out, nil
 }
 
 // String renders the bitstring as text, e.g. "0101".
@@ -325,15 +331,14 @@ func Unmarshal(raw []byte) (String, error) {
 	if len(body) != (n+7)/8 {
 		return String{}, ErrCorrupt
 	}
+	// Reject nonzero bits in the final partial byte so equal strings have
+	// equal encodings (and so the byte compares of Equal, HasPrefix and
+	// Compare see only the string's own bits).
+	if pad := uint(8*len(body) - n); pad > 0 && body[len(body)-1]&(1<<pad-1) != 0 {
+		return String{}, ErrCorrupt
+	}
 	s := String{data: make([]byte, len(body)), n: n}
 	copy(s.data, body)
-	// Reject nonzero bits in the final partial byte so equal strings have
-	// equal encodings.
-	for i := n; i < 8*len(body); i++ {
-		if s.data[i/8]>>uint(7-i%8)&1 == 1 {
-			return String{}, ErrCorrupt
-		}
-	}
 	return s, nil
 }
 

@@ -61,19 +61,18 @@ func AddLastBlock(env transport.Net, tag string, prefix, v bitstr.String, blockB
 // honest parties hold valid values vBot whose representations avoid prefix.
 // Those parties announce whether their value lies below MIN_ℓ(prefix) or
 // above MAX_ℓ(prefix); one bit of BA then selects the common valid output.
+//
+// vBot must be width bits long. A vBot avoiding prefix lies below
+// MIN_ℓ(prefix) exactly when its first |prefix| bits compare below prefix,
+// so the side is read off in place, and only the fill the BA picks is built.
 func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.String) (*big.Int, error) {
-	minFill, err := prefix.MinFill(width)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	maxFill, err := prefix.MaxFill(width)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	if width < prefix.Len() || vBot.Len() != width {
+		return nil, fmt.Errorf("%w: prefix of %d bits and vBot of %d bits for width %d", ErrProtocol, prefix.Len(), vBot.Len(), width)
 	}
 	var out []transport.Packet
 	if !vBot.HasPrefix(prefix) {
 		b := byte(1)
-		if vBot.Big().Cmp(minFill) < 0 {
+		if vBot.Compare(prefix) < 0 {
 			b = 0
 		}
 		out = transport.Broadcast(env, tag+"/side", []byte{b})
@@ -99,8 +98,14 @@ func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.Str
 	if err != nil {
 		return nil, err
 	}
+	var v *big.Int
 	if agreed == 0 {
-		return minFill, nil
+		v, err = prefix.MinFill(width)
+	} else {
+		v, err = prefix.MaxFill(width)
 	}
-	return maxFill, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return v, nil
 }

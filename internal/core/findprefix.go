@@ -95,12 +95,9 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 		}
 		prefix = prefix.Concat(agreedSeg)
 		// Re-anchor v on the agreed prefix if it diverged (Remark 2 makes
-		// the fill values valid).
-		myPrefix, err := v.Prefix(mid * blockBits)
-		if err != nil {
-			return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		switch myPrefix.Compare(prefix) {
+		// the fill values valid). prefix holds mid blocks, so Compare reads
+		// v's first mid blocks in place.
+		switch v.Compare(prefix) {
 		case -1:
 			if v, err = prefix.FillTo(width, 0); err != nil {
 				return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)

@@ -28,18 +28,23 @@ func PiZ(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	mag := new(big.Int).Abs(v)
-	if signOut != signIn {
+	// Π_ℕ only reads its input, so v is copied only when it must be negated.
+	mag := v
+	switch {
+	case signOut != signIn:
 		// The agreed sign is held by some honest party, so 0 lies between
 		// that party's input and ours.
 		mag = big.NewInt(0)
+	case signIn == 1:
+		mag = new(big.Int).Neg(v)
 	}
 	magOut, err := PiN(env, tag+"/mag", mag)
 	if err != nil {
 		return nil, err
 	}
 	if signOut == 1 {
-		return new(big.Int).Neg(magOut), nil
+		// Π_ℕ's output is freshly allocated, never an alias of mag.
+		magOut.Neg(magOut)
 	}
 	return magOut, nil
 }

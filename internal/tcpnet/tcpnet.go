@@ -62,7 +62,8 @@ type Config struct {
 	DialTimeout time.Duration
 	// ReconnectAttempts bounds how many times the dialing side re-dials a
 	// broken link before demoting the peer to silent for the run.
-	// 0 means the default (5); negative disables reconnection.
+	// 0 means the default (5); negative disables reconnection, so the
+	// dialing side demotes a lost peer at once (ReasonUnreachable).
 	ReconnectAttempts int
 	// ReconnectBase is the first reconnect backoff; it doubles per
 	// attempt with up to +100% jitter. Default 50ms.
@@ -959,7 +960,9 @@ func (c *Conn) idleTimeout() time.Duration {
 // generation gen. Frame-protocol violations (wire.ErrFrame) and ingress
 // verdicts (wire.ErrAdmission: budget, rate, stall) demote the peer to
 // silent for the run with a structured reason; I/O failures mark the link
-// down and, on the dialing side, kick off reconnection.
+// down and, on the dialing side, kick off reconnection — or, with
+// reconnection disabled, demote the peer as unreachable straight away, the
+// verdict an exhausted reconnectLoop would reach.
 func (c *Conn) linkLost(peer int, gen uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -974,18 +977,21 @@ func (c *Conn) linkLost(peer int, gen uint64, err error) {
 	l.gen++
 	reason := wire.ReasonNone
 	var aerr *wire.AdmissionError
+	dialer := peer < c.cfg.ID
 	switch {
 	case errors.As(err, &aerr):
 		reason = aerr.Reason
 	case errors.Is(err, wire.ErrFrame):
 		reason = wire.ReasonProtocol
+	case dialer && c.cfg.ReconnectAttempts == 0:
+		reason = wire.ReasonUnreachable
 	}
 	if reason != wire.ReasonNone {
 		l.state = linkSilent
 		c.recordDemotionLocked(peer, reason)
 	} else {
 		l.state = linkDown
-		if peer < c.cfg.ID && c.cfg.ReconnectAttempts > 0 && !l.reconnecting {
+		if dialer && !l.reconnecting {
 			l.reconnecting = true
 			go c.reconnectLoop(peer)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"convexagreement/internal/tcpnet"
 	"convexagreement/internal/transport"
+	"convexagreement/internal/wire"
 )
 
 // rawPeer dials party 0's listener and handshakes as party 1, returning the
@@ -195,6 +196,48 @@ func TestReconnectExhaustedDemotesPeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > cfgs[1].Delta {
 		t.Fatalf("round took %v with the only peer demoted", elapsed)
+	}
+}
+
+// TestReconnectDisabledDemotesPeer: with reconnection disabled the dialing
+// side has nothing to wait for, so a lost peer goes straight to silent with
+// the same ReasonUnreachable verdict an exhausted reconnect loop records,
+// and Faulty lists it. The accepting side keeps the link down: re-dialing
+// is never its job.
+func TestReconnectDisabledDemotesPeer(t *testing.T) {
+	cfgs := newCluster(t, 3, 0)
+	for i := range cfgs {
+		cfgs[i].Delta = 200 * time.Millisecond
+		cfgs[i].ReconnectAttempts = -1
+	}
+	conns := dialAll(t, cfgs)
+	conns[1].Close() // party 2 dials party 1; party 0 accepts from it
+	waitFaulty(t, conns[2], []int{1})
+	st := conns[2].Stats()
+	if len(st.Demotions) != 1 || st.Demotions[0].Peer != 1 || st.Demotions[0].Reason != wire.ReasonUnreachable {
+		t.Fatalf("demotions = %+v, want peer 1 unreachable", st.Demotions)
+	}
+	// Neither survivor waits Δ for party 1: down and silent peers are both
+	// skipped.
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for _, i := range []int{0, 2} {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = transport.ExchangeAll(conns[i], "x", []byte{byte(i)})
+		}(i)
+	}
+	wg.Wait()
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("round errored: %v", errs)
+	}
+	if elapsed := time.Since(start); elapsed > cfgs[2].Delta {
+		t.Fatalf("round took %v with the lost peer out", elapsed)
+	}
+	if got := conns[0].Faulty(); len(got) != 0 {
+		t.Fatalf("accepting side demoted %v, want none", got)
 	}
 }
 

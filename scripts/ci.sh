@@ -96,12 +96,22 @@ echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 go test -run '^$' -bench 'BenchmarkSessionThroughput$' -benchtime 1x -benchmem ./internal/sessmux/ \
 	| go run ./cmd/benchjson -guard-time 'SessionThroughput$=30s' > /dev/null
 
+echo "== long-path bit-string guard (one party's 2^22-bit FixedLengthCABlocks ops within 100ms, allocs not above the record)"
+# One party's bit-string work for one long-workload decision: BITS_ℓ of the
+# input, eight halving FindPrefixBlocks segments with a prefix compare each,
+# the re-anchoring fill, GetOutput's prefix test and its fill. On a 2-vCPU
+# Xeon VM it takes ~5ms and 36 allocs/op over packed bytes; the
+# bit-at-a-time loops it replaced took ~800ms and 46 allocs/op, so either
+# guard catches a return to walking bits.
+go test -run '^$' -bench 'BenchmarkLongPathOps$' -benchtime 20x -benchmem ./internal/bitstr/ \
+	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'LongPathOps$' -guard-time 'LongPathOps$=100ms' > /dev/null
+
 echo "== calint runtime guard (full-tree analysis within 60s)"
 # One in-process full-tree analyzer run, gated on an absolute ns/op budget.
 go test -run '^$' -bench 'BenchmarkCalintFullTree' -benchtime 1x -benchmem ./internal/lint/ \
 	| go run ./cmd/benchjson -guard-time 'CalintFullTree=60s' > /dev/null
 
-echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub)"
+echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bit-string ops vs oracle)"
 # FuzzReadFrame and FuzzReadFrameInto share a prefix; go test refuses a -fuzz
 # pattern matching more than one target, so each needs an anchored pattern.
 go test -run '^$' -fuzz 'FuzzReadFrame$' -fuzztime 5s ./internal/wire/
@@ -110,5 +120,6 @@ go test -run '^$' -fuzz FuzzAdmission -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/baplus/
 go test -run '^$' -fuzz FuzzInspectState -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScrub -fuzztime 5s ./internal/checkpoint/
+go test -run '^$' -fuzz FuzzOps -fuzztime 5s ./internal/bitstr/
 
 echo "CI OK"

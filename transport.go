@@ -110,7 +110,8 @@ type TCPConfig struct {
 	DialTimeout time.Duration
 	// ReconnectAttempts bounds re-dials of a broken link before the peer
 	// is demoted to silent for the run. 0 means the default (5); negative
-	// disables reconnection.
+	// disables reconnection, so the dialing side demotes a lost peer to
+	// silent at once.
 	ReconnectAttempts int
 	// ReconnectBase is the first reconnect backoff, doubling per attempt
 	// with jitter (default 50ms).
